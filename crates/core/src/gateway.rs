@@ -53,6 +53,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Largest request body [`HttpGateway::serve`] reads. A bigger
+/// `Content-Length` gets 413 before any buffer is allocated, so a client
+/// cannot make the server allocate whatever size it names.
+const MAX_BODY_BYTES: usize = 16 << 20;
+
 /// A minimal parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpRequest {
@@ -218,6 +223,7 @@ pub fn format_response(resp: &HttpResponse) -> String {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Payload Too Large",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
@@ -900,12 +906,18 @@ fn serve_connection(gateway: &HttpGateway, stream: std::net::TcpStream) -> std::
                 .then(|| value.trim().parse::<usize>().ok())?
         })
         .unwrap_or(0);
-    let mut body = vec![0u8; content_length];
-    if content_length > 0 {
+    let response = if content_length > MAX_BODY_BYTES {
+        format_response(&HttpResponse::error(
+            413,
+            format!(
+                "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            ),
+        ))
+    } else {
+        let mut body = vec![0u8; content_length];
         reader.read_exact(&mut body)?;
-    }
-    let text = format!("{head}{}", String::from_utf8_lossy(&body));
-    let response = gateway.handle_text(&text);
+        gateway.handle_text(&format!("{head}{}", String::from_utf8_lossy(&body)))
+    };
     let mut stream = stream;
     stream.write_all(response.as_bytes())?;
     stream.flush()
@@ -1418,6 +1430,36 @@ mod tests {
         shutdown.store(true, Ordering::SeqCst);
         handle.join().unwrap();
     }
+
+    #[test]
+    fn oversize_body_gets_413_and_the_server_keeps_serving() {
+        let (_env, gw) = gateway();
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (addr, handle) = gw.clone().serve("127.0.0.1:0", shutdown.clone()).unwrap();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        stream
+            .write_all(b"POST /invoke/echo HTTP/1.1\r\nHost: x\r\nContent-Length: 99999999999999999\r\n\r\n")
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(
+            response.starts_with("HTTP/1.1 413 Payload Too Large"),
+            "{response}"
+        );
+
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        let body = r#"{"operation": "op", "payload": {"after": "413"}}"#;
+        stream
+            .write_all(post("/invoke/echo", body).as_bytes())
+            .unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        assert!(response.contains("\"after\":\"413\""));
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
     #[test]
     fn snapshot_route_requires_an_attached_handler() {
         let (_env, gw) = gateway();

@@ -9,7 +9,7 @@
 
 use crate::KbError;
 use cogsdk_rdf::model::Literal;
-use cogsdk_rdf::{Graph, Statement, Term};
+use cogsdk_rdf::{Graph, QueryView, Statement, Term};
 use cogsdk_store::table::{ColumnType, Row, Schema, Table, Value};
 
 /// Converts a table to RDF statements.
@@ -91,12 +91,14 @@ pub fn statements_to_table(graph: &Graph) -> Table {
     table
 }
 
-/// Serializes a graph to a line-oriented N-Triples-like text form used
-/// for persistence (one statement per line).
-pub fn graph_to_text(graph: &Graph) -> String {
+/// Serializes a graph — or any view, such as a pinned epoch — to a
+/// line-oriented N-Triples-like text form used for persistence (one
+/// statement per line, in SPO id order).
+pub fn graph_to_text(graph: &dyn QueryView) -> String {
+    let dict = graph.dict();
     let mut out = String::new();
-    for st in graph.iter() {
-        out.push_str(&statement_to_line(&st));
+    for triple in graph.match_ids(None, None, None) {
+        out.push_str(&statement_to_line(&dict.resolve_triple(triple)));
         out.push('\n');
     }
     out

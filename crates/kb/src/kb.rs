@@ -9,7 +9,7 @@ use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
 use cogsdk_rdf::weighted::{WeightedGraph, WeightedReasoner};
 use cogsdk_rdf::{
-    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Graph, Query,
+    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Overlay, Query,
     QueryStats, RecoveryStats, Statement, Term, TermId, WalStats,
 };
 use cogsdk_sim::fs::Vfs;
@@ -200,7 +200,7 @@ impl PersonalKnowledgeBase {
         ));
         let kb = PersonalKnowledgeBase {
             tables: TableStore::new(),
-            doc_counter: AtomicUsize::new(next_doc_id(&graph)),
+            doc_counter: AtomicUsize::new(next_doc_id(&graph.epochs().pin())),
             epochs: graph.epochs().clone(),
             graph: RwLock::new(graph),
             catalog: RwLock::new(EntityCatalog::builtin()),
@@ -695,9 +695,11 @@ impl PersonalKnowledgeBase {
         self.epochs.pin().len()
     }
 
-    /// Runs `f` with read access to the graph (stated plus inferred).
-    pub fn with_graph<R>(&self, f: impl FnOnce(&Graph) -> R) -> R {
-        f(self.graph.read().full())
+    /// Runs `f` under the store's read lock with the graph (stated plus
+    /// inferred) as a union view.
+    pub fn with_graph<R>(&self, f: impl FnOnce(Overlay<'_>) -> R) -> R {
+        let graph = self.graph.read();
+        f(Overlay::new(graph.base(), graph.derived()))
     }
 
     /// Enables RDFS entailment as a *standing* ruleset: the closure is
@@ -758,7 +760,7 @@ impl PersonalKnowledgeBase {
     ) -> Result<Vec<cogsdk_rdf::query::Solution>, KbError> {
         let reasoner = GenericRuleReasoner::from_rules_text(rules_text)?;
         let goal = TriplePattern::parse(goal)?;
-        Ok(reasoner.prove(self.graph.read().full(), &goal, max_depth))
+        Ok(reasoner.prove(&*self.epochs.pin(), &goal, max_depth))
     }
 
     /// Runs user-defined rules (Jena-like syntax, one per line) with
@@ -1184,7 +1186,7 @@ impl PersonalKnowledgeBase {
     /// Local storage failure (remote failures leave the key dirty for
     /// the next synchronization instead of failing).
     pub fn persist_graph(&self, key: &str) -> Result<(), KbError> {
-        let text = graph_to_text(self.graph.read().full());
+        let text = graph_to_text(&*self.epochs.pin());
         let result = self.store.put(key, Bytes::from(text.into_bytes()));
         self.publish_cache_metrics();
         Ok(result?)
@@ -1260,7 +1262,7 @@ impl PersonalKnowledgeBase {
 /// most-trusted rating seen so far.
 fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 {
     graph
-        .full()
+        .base()
         .lookup_statement(st)
         .and_then(|t| graph.confidences().get(&t).copied())
         .map_or(incoming, |current| current.max(incoming))
@@ -1269,11 +1271,10 @@ fn merge_confidence(graph: &DurableStore, st: &Statement, incoming: f64) -> f64 
 /// The first document id [`PersonalKnowledgeBase::ingest_text`] may use:
 /// past the highest `kb:doc_{n}` subject already in the store, so a
 /// durably recovered base never reuses a document id.
-fn next_doc_id(graph: &DurableStore) -> usize {
-    let full = graph.full();
-    let dict = full.dict();
+fn next_doc_id(snap: &EpochSnapshot) -> usize {
+    let dict = snap.dict();
     let mut next = 0;
-    for (s, _, _) in full.iter_ids() {
+    for (s, _, _) in snap.iter_ids() {
         if let Some(iri) = dict.resolve(s).as_iri() {
             if let Some(n) = iri
                 .strip_prefix("kb:doc_")

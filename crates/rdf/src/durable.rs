@@ -128,7 +128,7 @@ impl DurableStore {
     pub fn in_memory() -> DurableStore {
         let inner = IncrementalMaterializer::new();
         let confidence = Arc::new(HashMap::new());
-        let epochs = Arc::new(EpochStore::new(inner.full(), confidence.clone()));
+        let epochs = Arc::new(EpochStore::new(&inner, confidence.clone()));
         DurableStore {
             inner,
             durability: None,
@@ -260,7 +260,7 @@ impl DurableStore {
         fs.delete(SNAPSHOT_TMP)?;
         let wal = Wal::open(fs.clone(), options.segment_max_bytes)?;
         let confidence = Arc::new(confidence);
-        let epochs = Arc::new(EpochStore::new(inner.full(), confidence.clone()));
+        let epochs = Arc::new(EpochStore::new(&inner, confidence.clone()));
         // The recovered closure is already reflected in epoch 0; drop the
         // delta materialization recorded so the first mutation's publish
         // doesn't force a redundant base rebuild.
@@ -341,7 +341,7 @@ impl DurableStore {
     fn publish_epoch(&mut self) {
         let delta = self.inner.take_delta();
         self.epochs
-            .publish(self.inner.full(), delta, self.confidence.clone());
+            .publish(&self.inner, delta, self.confidence.clone());
     }
 
     /// The reader-facing epoch store. Clone the `Arc` once and pin
@@ -396,10 +396,8 @@ impl DurableStore {
     /// durable). Returns whether the fact was present in the full view.
     pub fn remove(&mut self, st: &Statement) -> Result<bool, DurableError> {
         if self.durability.is_some() {
-            if let Some(triple) = self.inner.full().lookup_statement(st) {
-                if self.inner.full().contains_id(triple) {
-                    self.log_records(vec![WalRecord::remove(triple)])?;
-                }
+            if let Some(triple) = self.inner.find_id(st) {
+                self.log_records(vec![WalRecord::remove(triple)])?;
             }
         }
         let removed = self.inner.remove(st);
@@ -422,10 +420,8 @@ impl DurableStore {
             let mut seen = BTreeSet::new();
             let mut ops = Vec::new();
             for st in &batch {
-                if let Some(triple) = self.inner.full().lookup_statement(st) {
-                    if self.inner.full().contains_id(triple) && seen.insert(triple) {
-                        ops.push(WalRecord::remove(triple));
-                    }
+                if let Some(triple) = self.inner.find_id(st).filter(|&t| seen.insert(t)) {
+                    ops.push(WalRecord::remove(triple));
                 }
             }
             self.log_records(ops)?;
@@ -523,7 +519,7 @@ impl DurableStore {
     /// The confidence recorded for a statement, default 1.0.
     pub fn confidence_of(&self, st: &Statement) -> f64 {
         self.inner
-            .full()
+            .base()
             .lookup_statement(st)
             .and_then(|t| self.confidence.get(&t).copied())
             .unwrap_or(1.0)
@@ -638,11 +634,6 @@ impl DurableStore {
         Ok(bytes)
     }
 
-    /// The full view (base ∪ derived).
-    pub fn full(&self) -> &Graph {
-        self.inner.full()
-    }
-
     /// The stated base facts.
     pub fn base(&self) -> &Graph {
         self.inner.base()
@@ -724,13 +715,13 @@ mod tests {
             .unwrap();
         store.insert(st("ex:felix", vocab::TYPE, "ex:cat")).unwrap();
         store.materialize();
-        let expected = store.full().clone();
+        let expected = store.inner.to_graph();
         assert!(expected.contains(&st("ex:felix", vocab::TYPE, "ex:animal")));
         drop(store);
 
         let mut recovered = open(&fs);
         recovered.materialize();
-        assert_eq!(recovered.full(), &expected);
+        assert_eq!(recovered.inner.to_graph(), expected);
         assert!(recovered.config().rdfs);
         let stats = recovered.recovery_stats().unwrap();
         assert!(!stats.snapshot_loaded);
@@ -904,12 +895,12 @@ mod tests {
         store.insert(st("ex:b", "ex:parent", "ex:c")).unwrap();
         store.materialize();
         assert!(store.contains(&st("ex:a", "ex:ancestor", "ex:c")));
-        let expected = store.full().clone();
+        let expected = store.inner.to_graph();
         drop(store);
 
         let mut recovered = open(&fs);
         recovered.materialize();
-        assert_eq!(recovered.full(), &expected);
+        assert_eq!(recovered.inner.to_graph(), expected);
         assert_eq!(recovered.config().transitive.len(), 1);
         assert_eq!(recovered.config().rules.len(), 1);
     }
@@ -972,6 +963,31 @@ mod tests {
             .dict()
             .lookup_statement(&st("ex:felix", vocab::TYPE, "ex:cat"));
         assert_eq!(snap.confidence_of(t.unwrap()), Some(0.8));
+    }
+
+    #[test]
+    fn rebuilt_epoch_merges_stated_and_derived_in_spo_order() {
+        let mut store = DurableStore::in_memory();
+        store.add_transitive(vec![Term::iri("ex:next")]).unwrap();
+        let edge = |i: usize| st(&format!("ex:n{i}"), "ex:next", &format!("ex:n{}", i + 1));
+        // A 100-node chain: 99 stated edges between 4,851 derived shortcuts,
+        // more events than the rebuild threshold; cuts re-derive thousands.
+        let steps = (0..99).map(|i| (i, true));
+        let cuts = [50, 25, 75, 10].map(|i| (i, false));
+        let restores = [25, 10, 75, 50].map(|i| (i, true));
+        for (i, insert) in steps.chain(cuts).chain(restores) {
+            if insert {
+                store.insert(edge(i)).unwrap();
+            } else {
+                assert!(store.remove(&edge(i)).unwrap());
+            }
+            let snap = store.epochs().pin();
+            let want: Vec<IdTriple> = store.inner.to_graph().iter_ids().collect();
+            assert_eq!(snap.iter_ids(), want, "edge {i}, insert {insert}");
+            assert_eq!(snap.len(), store.len(), "edge {i}, insert {insert}");
+        }
+        assert_eq!(store.derived().len(), 100 * 99 / 2 - 99);
+        assert!(store.len() > crate::epoch::REBUILD_MIN_EVENTS);
     }
 
     #[test]

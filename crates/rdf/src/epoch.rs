@@ -1,7 +1,7 @@
 //! Snapshot-isolated epochs over the dictionary-encoded triple indexes.
 //!
-//! The write side of the store (the [`Graph`] triple sets inside the
-//! materializer) stays a plain mutable structure guarded by the owner's
+//! The write side of the store (the stated and derived [`Graph`]s inside
+//! the materializer) stays a plain mutable structure guarded by the owner's
 //! lock. What this module adds is a *read side* that never touches that
 //! lock: after every mutation batch the writer publishes an immutable
 //! [`EpochSnapshot`] into an [`EpochStore`], and readers pin the current
@@ -21,9 +21,10 @@
 //! newest-run-wins deletion, preserving index sort order (merge joins
 //! depend on it). Publishing a batch costs `O(batch log batch)`; runs
 //! are size-tier merged as they accumulate, and once the delta stack
-//! outgrows a fraction of the base the writer re-freezes its
-//! authoritative full graph into a fresh base — so read amplification
-//! stays bounded without ever blocking readers.
+//! outgrows a fraction of the base the writer freezes a fresh base by
+//! merging its stated and derived graphs (disjoint, each already in SPO
+//! order) — so read amplification stays bounded without ever blocking
+//! readers.
 //!
 //! Each epoch also carries the statement-confidence map (shared by
 //! `Arc`, cloned only in batches that touch confidences), so weighted
@@ -31,6 +32,7 @@
 
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::graph::{Graph, QueryView, TripleView};
+use crate::incremental::IncrementalMaterializer;
 use crate::model::{Statement, Term};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::{Arc, Mutex, RwLock};
@@ -41,8 +43,8 @@ const RETAINED_EPOCHS: usize = 8;
 
 /// Base rebuild threshold: when the run stack holds more events than
 /// `max(REBUILD_MIN_EVENTS, base/4)`, the next publish re-freezes the
-/// full graph instead of stacking another run.
-const REBUILD_MIN_EVENTS: usize = 4096;
+/// writer's `base ∪ derived` instead of stacking another run.
+pub(crate) const REBUILD_MIN_EVENTS: usize = 4096;
 
 fn to_pos((s, p, o): IdTriple) -> IdTriple {
     (p, o, s)
@@ -67,7 +69,7 @@ fn range_of(sorted: &[IdTriple], lo: IdTriple, hi: IdTriple) -> &[IdTriple] {
     &sorted[start..end]
 }
 
-/// An immutable, fully-sorted freeze of a graph's three indexes. The
+/// An immutable, fully-sorted freeze of the full view's three indexes. The
 /// POS/OSP vectors hold *permuted* tuples (as the write-side BTree
 /// indexes do), so every scan is a binary-searched contiguous slice.
 #[derive(Debug, Default)]
@@ -88,8 +90,19 @@ impl FrozenIndex {
         }
     }
 
-    fn from_graph(graph: &Graph) -> FrozenIndex {
-        let spo: Vec<IdTriple> = graph.iter_ids().collect();
+    /// Freezes `base ∪ derived`. The two graphs are disjoint and each
+    /// iterates in SPO order, so one linear merge yields the SPO vector.
+    fn freeze(source: &IncrementalMaterializer) -> FrozenIndex {
+        let mut stated = source.base().iter_ids().peekable();
+        let mut derived = source.derived().iter_ids().peekable();
+        let mut spo = Vec::with_capacity(source.len());
+        spo.extend(std::iter::from_fn(|| {
+            match (stated.peek(), derived.peek()) {
+                (Some(s), Some(d)) if d < s => derived.next(),
+                (Some(_), _) => stated.next(),
+                (None, _) => derived.next(),
+            }
+        }));
         let mut pos: Vec<IdTriple> = spo.iter().map(|&t| to_pos(t)).collect();
         pos.sort_unstable();
         let mut osp: Vec<IdTriple> = spo.iter().map(|&t| to_osp(t)).collect();
@@ -510,14 +523,17 @@ pub struct EpochStore {
 }
 
 impl EpochStore {
-    /// Creates a store whose epoch 0 freezes `full`.
-    pub(crate) fn new(full: &Graph, confidence: Arc<HashMap<IdTriple, f64>>) -> EpochStore {
+    /// Creates a store whose epoch 0 freezes the full view of `source`.
+    pub(crate) fn new(
+        source: &IncrementalMaterializer,
+        confidence: Arc<HashMap<IdTriple, f64>>,
+    ) -> EpochStore {
         let snapshot = Arc::new(EpochSnapshot {
             epoch: 0,
-            dict: full.dict().clone(),
-            base: Arc::new(FrozenIndex::from_graph(full)),
+            dict: source.base().dict().clone(),
+            base: Arc::new(FrozenIndex::freeze(source)),
             runs: Vec::new(),
-            len: full.len(),
+            len: source.len(),
             confidence,
         });
         EpochStore {
@@ -542,13 +558,13 @@ impl EpochStore {
             .cloned()
     }
 
-    /// Publishes the write side's net delta as the next epoch. `full`
-    /// is the writer's authoritative materialized graph, consulted for
-    /// base rebuilds. No-op deltas (empty and no confidence change)
-    /// publish nothing, so idle readers keep hitting the same epoch.
+    /// Publishes the write side's net delta as the next epoch. `source`
+    /// is the writer's materializer, whose full view is frozen on base
+    /// rebuilds. No-op deltas (empty and no confidence change) publish
+    /// nothing, so idle readers keep hitting the same epoch.
     pub(crate) fn publish(
         &self,
-        full: &Graph,
+        source: &IncrementalMaterializer,
         delta: EpochDelta,
         confidence: Arc<HashMap<IdTriple, f64>>,
     ) {
@@ -562,11 +578,9 @@ impl EpochStore {
         let rebuild = delta.rebuilt || pending > REBUILD_MIN_EVENTS.max(prev.base.spo.len() / 4);
 
         let (base, runs, len) = if rebuild {
-            (
-                Arc::new(FrozenIndex::from_graph(full)),
-                Vec::new(),
-                full.len(),
-            )
+            let base = FrozenIndex::freeze(source);
+            let len = base.spo.len();
+            (Arc::new(base), Vec::new(), len)
         } else {
             // Net the delta against the previous epoch so the run
             // invariant holds (adds were absent, deletes were present)
@@ -604,7 +618,7 @@ impl EpochStore {
 
         let next = Arc::new(EpochSnapshot {
             epoch: prev.epoch + 1,
-            dict: full.dict().clone(),
+            dict: source.base().dict().clone(),
             base,
             runs,
             len,
@@ -630,8 +644,12 @@ mod tests {
             .intern_statement(&Statement::new(Term::iri(s), Term::iri(p), Term::iri(o)))
     }
 
+    fn source(graph: &Graph) -> IncrementalMaterializer {
+        IncrementalMaterializer::from_graph(graph.clone())
+    }
+
     fn store_over(graph: &Graph) -> EpochStore {
-        EpochStore::new(graph, Arc::new(HashMap::new()))
+        EpochStore::new(&source(graph), Arc::new(HashMap::new()))
     }
 
     fn publish_changes(store: &EpochStore, graph: &Graph, changes: &[(IdTriple, bool)]) {
@@ -639,7 +657,7 @@ mod tests {
         for &(t, added) in changes {
             delta.record(t, added);
         }
-        store.publish(graph, delta, store.pin().confidence.clone());
+        store.publish(&source(graph), delta, store.pin().confidence.clone());
     }
 
     #[test]
@@ -730,7 +748,7 @@ mod tests {
                     delta.record(t, false);
                 }
             }
-            store.publish(&g, delta, store.pin().confidence.clone());
+            store.publish(&source(&g), delta, store.pin().confidence.clone());
             let snap = store.pin();
             assert_eq!(snap.len(), g.len(), "round {round}: len");
 
@@ -767,7 +785,7 @@ mod tests {
         let mut replacement = Graph::with_dict(g.dict().clone());
         let t2 = triple(&mut replacement, "ex:b", "ex:p", "ex:y");
         replacement.insert_id(t2);
-        store.publish(&replacement, delta, Arc::new(HashMap::new()));
+        store.publish(&source(&replacement), delta, Arc::new(HashMap::new()));
         let snap = store.pin();
         assert!(snap.runs.is_empty(), "rebuild clears the run stack");
         assert!(snap.contains_id(t2));
@@ -799,7 +817,7 @@ mod tests {
         g.insert_id(t);
         let store = store_over(&g);
         let conf = store.pin().confidence.clone();
-        store.publish(&g, EpochDelta::default(), conf);
+        store.publish(&source(&g), EpochDelta::default(), conf);
         assert_eq!(store.pin().epoch(), 0, "no-op publishes nothing");
     }
 
@@ -815,7 +833,7 @@ mod tests {
         conf.insert(t, 0.4);
         let mut delta = EpochDelta::default();
         delta.record(t, true); // no-op membership-wise, but confidence changed
-        store.publish(&g, delta, Arc::new(conf));
+        store.publish(&source(&g), delta, Arc::new(conf));
 
         assert_eq!(store.pin().confidence_of(t), Some(0.4));
         assert_eq!(

@@ -1,7 +1,7 @@
 //! Incremental materialization of the inferred closure.
 //!
-//! [`IncrementalMaterializer`] keeps a stated base graph, the derived
-//! closure, and their union ("full view") maintained across mutations:
+//! [`IncrementalMaterializer`] keeps a stated base graph and the derived
+//! closure, disjoint from each other, maintained across mutations:
 //!
 //! * **Inserts** propagate forward semi-naively — only joins involving the
 //!   new facts run, so per-batch cost is proportional to the change, not
@@ -16,7 +16,10 @@
 //! [`materialize`](IncrementalMaterializer::materialize) call reseeds the
 //! fixpoint over the existing facts.
 //!
-//! All three graphs share one term dictionary, so the DRed cascades and
+//! The union `base ∪ derived` (the "full view") is never stored: union
+//! questions are answered from the two graphs, and readers see the union
+//! through published epochs ([`EpochSnapshot`](crate::EpochSnapshot)).
+//! Both graphs share one term dictionary, so the DRed cascades and
 //! semi-naive propagation run entirely on id triples — no statement is
 //! materialized during maintenance.
 
@@ -120,9 +123,6 @@ pub struct IncrementalMaterializer {
     base: Graph,
     /// Derived closure, disjoint from `base` (shares its dictionary).
     derived: Graph,
-    /// `base ∪ derived`, kept materialized so readers get a plain
-    /// [`Graph`] without merging on every query (shares the dictionary).
-    full: Graph,
     /// Whether `derived` is the fixpoint of `config` over `base`. Cleared
     /// when a ruleset is enabled after facts already arrived.
     clean: bool,
@@ -142,12 +142,10 @@ impl IncrementalMaterializer {
     pub fn new() -> IncrementalMaterializer {
         let base = Graph::new();
         let derived = Graph::with_dict(base.dict().clone());
-        let full = Graph::with_dict(base.dict().clone());
         IncrementalMaterializer {
             config: MaterializerConfig::default(),
             base,
             derived,
-            full,
             clean: true,
             delta: EpochDelta::default(),
         }
@@ -156,14 +154,9 @@ impl IncrementalMaterializer {
     /// Wraps an existing stated graph. No inference runs until a ruleset
     /// is enabled and [`materialize`](Self::materialize) is called.
     pub fn from_graph(graph: Graph) -> IncrementalMaterializer {
-        IncrementalMaterializer {
-            config: MaterializerConfig::default(),
-            derived: Graph::with_dict(graph.dict().clone()),
-            full: graph.clone(),
-            base: graph,
-            clean: true,
-            delta: EpochDelta::rebuild(),
-        }
+        let mut m = IncrementalMaterializer::new();
+        m.reset(graph);
+        m
     }
 
     /// Drains the net full-view changes accumulated since the last call.
@@ -172,9 +165,13 @@ impl IncrementalMaterializer {
         std::mem::take(&mut self.delta)
     }
 
-    /// The maintained `base ∪ derived` view.
-    pub fn full(&self) -> &Graph {
-        &self.full
+    /// Copies `base ∪ derived` into a standalone [`Graph`] sharing the
+    /// dictionary. O(n) — for oracles and tests; readers should query a
+    /// pinned epoch instead.
+    pub fn to_graph(&self) -> Graph {
+        let mut g = self.base.clone();
+        g.extend_from(&self.derived);
+        g
     }
 
     /// The explicitly stated facts.
@@ -189,17 +186,29 @@ impl IncrementalMaterializer {
 
     /// Number of facts in the full view.
     pub fn len(&self) -> usize {
-        self.full.len()
+        self.base.len() + self.derived.len()
     }
 
     /// Whether the full view is empty.
     pub fn is_empty(&self) -> bool {
-        self.full.is_empty()
+        self.base.is_empty() && self.derived.is_empty()
     }
 
     /// Whether the full view contains the statement.
     pub fn contains(&self, st: &Statement) -> bool {
-        self.full.contains(st)
+        self.find_id(st).is_some()
+    }
+
+    /// The encoded statement, if the full view contains it.
+    pub(crate) fn find_id(&self, st: &Statement) -> Option<IdTriple> {
+        self.base
+            .lookup_statement(st)
+            .filter(|&t| self.base.contains_id(t) || self.derived.contains_id(t))
+    }
+
+    /// Every fact of the full view: the base, then the derived closure.
+    fn iter_ids(&self) -> impl Iterator<Item = IdTriple> + '_ {
+        self.base.iter_ids().chain(self.derived.iter_ids())
     }
 
     /// Enables the RDFS subset; returns whether this changed the config.
@@ -207,7 +216,7 @@ impl IncrementalMaterializer {
         let changed = !self.config.rdfs;
         if changed {
             self.config.rdfs = true;
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -219,7 +228,7 @@ impl IncrementalMaterializer {
         if changed {
             self.config.owl = true;
             self.config.rdfs = true;
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -235,7 +244,7 @@ impl IncrementalMaterializer {
             }
         }
         if changed {
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -250,7 +259,7 @@ impl IncrementalMaterializer {
             }
         }
         if changed {
-            self.clean = self.full.is_empty();
+            self.clean = self.is_empty();
         }
         changed
     }
@@ -263,30 +272,7 @@ impl IncrementalMaterializer {
     /// Inserts a stated fact and propagates its consequences forward.
     /// Returns whether the fact was new to the full view.
     pub fn insert(&mut self, st: Statement) -> bool {
-        let t = self.base.intern_statement(&st);
-        if !self.base.insert_id(t) {
-            return false;
-        }
-        // A previously derived fact that is now stated moves to the base;
-        // the full view already has it and nothing new follows from it.
-        if self.derived.remove_id(t) {
-            return false;
-        }
-        if self.full.insert_id(t) {
-            self.delta.record(t, true);
-        }
-        if self.config.is_active() && self.clean {
-            let compiled = self.config.compile(self.base.dict());
-            let new_facts = propagate(&self.base, &mut self.derived, vec![t], &mut |v, d| {
-                compiled.delta(v, d)
-            });
-            for f in new_facts {
-                if self.full.insert_id(f) {
-                    self.delta.record(f, true);
-                }
-            }
-        }
-        true
+        self.insert_batch([st]) == 1
     }
 
     /// Inserts a batch and propagates once over the whole batch delta.
@@ -298,27 +284,32 @@ impl IncrementalMaterializer {
             if !self.base.insert_id(t) {
                 continue;
             }
+            // A previously derived fact that is now stated moves to the
+            // base; the full view already has it and nothing new follows.
             if self.derived.remove_id(t) {
                 continue;
             }
-            if self.full.insert_id(t) {
-                self.delta.record(t, true);
-            }
+            self.delta.record(t, true);
             seed.push(t);
         }
         let added = seed.len();
         if !seed.is_empty() && self.config.is_active() && self.clean {
             let compiled = self.config.compile(self.base.dict());
-            let new_facts = propagate(&self.base, &mut self.derived, seed, &mut |v, d| {
-                compiled.delta(v, d)
-            });
-            for f in new_facts {
-                if self.full.insert_id(f) {
-                    self.delta.record(f, true);
-                }
-            }
+            self.derive_from(&compiled, seed);
         }
         added
+    }
+
+    /// Propagates `seed` to fixpoint into `derived`, recording each newly
+    /// derived fact in the epoch delta. Returns how many were derived.
+    fn derive_from(&mut self, compiled: &CompiledRules, seed: Vec<IdTriple>) -> usize {
+        let new_facts = propagate(&self.base, &mut self.derived, seed, &mut |v, d| {
+            compiled.delta(v, d)
+        });
+        for &f in &new_facts {
+            self.delta.record(f, true);
+        }
+        new_facts.len()
     }
 
     /// Removes a fact using DRed: consequences are overdeleted against the
@@ -330,12 +321,9 @@ impl IncrementalMaterializer {
         // DRed needs an up-to-date closure to cascade over; catch up first
         // if a ruleset was enabled after facts arrived.
         self.materialize();
-        let Some(t) = self.full.lookup_statement(st) else {
+        let Some(t) = self.find_id(st) else {
             return false;
         };
-        if !self.full.contains_id(t) {
-            return false;
-        }
         let compiled = self
             .config
             .is_active()
@@ -361,14 +349,10 @@ impl IncrementalMaterializer {
         }
         self.base.remove_id(t);
         self.derived.remove_id(t);
-        if self.full.remove_id(t) {
-            self.delta.record(t, false);
-        }
+        self.delta.record(t, false);
         for &o in &overdeleted {
             self.derived.remove_id(o);
-            if self.full.remove_id(o) {
-                self.delta.record(o, false);
-            }
+            self.delta.record(o, false);
         }
         // Rederivation: one naive round over what remains picks up every
         // suspect fact that still has a one-step derivation; semi-naive
@@ -376,29 +360,18 @@ impl IncrementalMaterializer {
         if let Some(compiled) = &compiled {
             let candidates = {
                 let view = Overlay::new(&self.base, &self.derived);
-                let all: Vec<IdTriple> = self.full.iter_ids().collect();
+                let all: Vec<IdTriple> = self.iter_ids().collect();
                 compiled.delta(&view, &all)
             };
             let mut seeds = Vec::new();
             for c in candidates {
                 let suspect = overdeleted.contains(&c) || c == t;
-                if suspect && !self.full.contains_id(c) && self.derived.insert_id(c) {
-                    if self.full.insert_id(c) {
-                        self.delta.record(c, true);
-                    }
+                if suspect && !self.base.contains_id(c) && self.derived.insert_id(c) {
+                    self.delta.record(c, true);
                     seeds.push(c);
                 }
             }
-            if !seeds.is_empty() {
-                let new_facts = propagate(&self.base, &mut self.derived, seeds, &mut |v, d| {
-                    compiled.delta(v, d)
-                });
-                for f in new_facts {
-                    if self.full.insert_id(f) {
-                        self.delta.record(f, true);
-                    }
-                }
-            }
+            self.derive_from(compiled, seeds);
         }
         true
     }
@@ -411,17 +384,9 @@ impl IncrementalMaterializer {
             self.clean = true;
             return 0;
         }
-        let seed: Vec<IdTriple> = self.full.iter_ids().collect();
+        let seed: Vec<IdTriple> = self.iter_ids().collect();
         let compiled = self.config.compile(self.base.dict());
-        let new_facts = propagate(&self.base, &mut self.derived, seed, &mut |v, d| {
-            compiled.delta(v, d)
-        });
-        let added = new_facts.len();
-        for f in new_facts {
-            if self.full.insert_id(f) {
-                self.delta.record(f, true);
-            }
-        }
+        let added = self.derive_from(&compiled, seed);
         self.clean = true;
         added
     }
@@ -432,9 +397,8 @@ impl IncrementalMaterializer {
     /// adopts `graph`'s dictionary.
     pub fn reset(&mut self, graph: Graph) {
         self.derived = Graph::with_dict(graph.dict().clone());
-        self.full = graph.clone();
         self.base = graph;
-        self.clean = !self.config.is_active() || self.full.is_empty();
+        self.clean = !self.config.is_active() || self.base.is_empty();
         self.delta = EpochDelta::rebuild();
     }
 }
@@ -468,7 +432,7 @@ mod tests {
         m.enable_rdfs();
         m.insert(st("cat", vocab::SUB_CLASS_OF, "mammal"));
         assert!(m.base().dict().ptr_eq(m.derived().dict()));
-        assert!(m.base().dict().ptr_eq(m.full().dict()));
+        assert!(m.base().dict().ptr_eq(m.to_graph().dict()));
     }
 
     #[test]
@@ -487,7 +451,7 @@ mod tests {
         let base: Graph = facts.iter().cloned().collect();
         let mut scratch = base.clone();
         scratch.extend_from(&RdfsReasoner::new().infer(&base));
-        assert_eq!(*m.full(), scratch);
+        assert_eq!(m.to_graph(), scratch);
     }
 
     #[test]
@@ -520,7 +484,7 @@ mod tests {
         let base_now: Graph = m.base().iter().collect();
         let mut scratch = base_now.clone();
         scratch.extend_from(&TransitiveReasoner::new(vec![Term::iri("sub")]).infer(&base_now));
-        assert_eq!(*m.full(), scratch);
+        assert_eq!(m.to_graph(), scratch);
     }
 
     #[test]

@@ -594,7 +594,7 @@ impl TriplePattern {
     /// (the query engine, the weighted reasoner) can reuse the matcher.
     pub fn solve_bindings(
         &self,
-        graph: &Graph,
+        graph: &dyn TripleView,
         bindings: &HashMap<String, Term>,
     ) -> Vec<HashMap<String, Term>> {
         self.solve(graph, bindings)
@@ -858,7 +858,7 @@ impl GenericRuleReasoner {
     /// terminate on recursive rule sets ("tabled" in Jena's terminology).
     pub fn prove(
         &self,
-        graph: &Graph,
+        graph: &dyn TripleView,
         goal: &TriplePattern,
         max_depth: usize,
     ) -> Vec<HashMap<String, Term>> {
@@ -868,7 +868,7 @@ impl GenericRuleReasoner {
 
     fn prove_inner(
         &self,
-        graph: &Graph,
+        graph: &dyn TripleView,
         goal: &TriplePattern,
         bindings: &HashMap<String, Term>,
         depth: usize,

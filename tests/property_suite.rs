@@ -546,7 +546,12 @@ proptest! {
         let mut scratch = stated.clone();
         scratch.extend_from(&RdfsReasoner::new().infer(&stated));
         prop_assert_eq!(m.base(), &stated, "stated facts diverged");
-        prop_assert_eq!(m.full(), &scratch, "closure diverged from scratch fixpoint");
+        prop_assert_eq!(&m.to_graph(), &scratch, "closure diverged from scratch fixpoint");
+        prop_assert!(
+            m.base().iter_ids().all(|t| !m.derived().contains_id(t)),
+            "a fact is both stated and derived"
+        );
+        prop_assert_eq!(m.len(), m.base().len() + m.derived().len());
     }
 
     #[test]
@@ -570,7 +575,12 @@ proptest! {
         let mut scratch = stated.clone();
         scratch.extend_from(&TransitiveReasoner::new(vec![next]).infer(&stated));
         prop_assert_eq!(m.base(), &stated, "stated facts diverged");
-        prop_assert_eq!(m.full(), &scratch, "closure diverged from scratch fixpoint");
+        prop_assert_eq!(&m.to_graph(), &scratch, "closure diverged from scratch fixpoint");
+        prop_assert!(
+            m.base().iter_ids().all(|t| !m.derived().contains_id(t)),
+            "a fact is both stated and derived"
+        );
+        prop_assert_eq!(m.len(), m.base().len() + m.derived().len());
     }
 
     #[test]
