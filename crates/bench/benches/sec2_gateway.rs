@@ -37,6 +37,15 @@ fn post(path: &str, body: &str) -> String {
     )
 }
 
+/// As [`post`], asking the server to close the connection after the
+/// reply, so the client can read to EOF.
+fn post_closing(path: &str, body: &str) -> String {
+    format!(
+        "POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+}
+
 fn report_series() {
     let (_env, gw) = gateway();
     let raw = post(
@@ -56,11 +65,15 @@ fn report_series() {
     // Real TCP round trip.
     let shutdown = Arc::new(AtomicBool::new(false));
     let (addr, handle) = gw.clone().serve("127.0.0.1:0", shutdown.clone()).unwrap();
+    let closing = post_closing(
+        "/invoke/echo",
+        r#"{"operation": "op", "payload": {"x": 1}}"#,
+    );
     let rtts = 200;
     let t0 = std::time::Instant::now();
     for _ in 0..rtts {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
-        stream.write_all(raw.as_bytes()).unwrap();
+        stream.write_all(closing.as_bytes()).unwrap();
         let mut buf = String::new();
         stream.read_to_string(&mut buf).unwrap();
         assert!(buf.starts_with("HTTP/1.1 200"));

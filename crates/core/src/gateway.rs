@@ -33,8 +33,14 @@
 //!
 //! The request parser/serializer is self-contained ([`parse_request`],
 //! [`format_response`]) so the protocol layer is unit-testable without
-//! sockets; [`HttpGateway::serve`] binds a real `std::net::TcpListener`
-//! for cross-language clients.
+//! sockets. [`HttpGateway::serve`] binds a real `std::net::TcpListener`
+//! for cross-language clients and serves each connection on a handler
+//! thread of its own, up to a fixed cap, so a bulk ingest or a stalled
+//! client delays only its own connection and the bulkheads see real
+//! concurrency. Connections are persistent (HTTP/1.1 keep-alive) until
+//! the client asks to close. Heads are capped at 16 KiB (431), bodies at
+//! 16 MiB (413), a stalled request times out (408), and a handler that
+//! panics answers 500 on its own connection only.
 
 use crate::rank::RankOptions;
 use crate::sdk::RichSdk;
@@ -48,15 +54,32 @@ use cogsdk_sim::service::Request;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Largest request body [`HttpGateway::serve`] reads. A bigger
 /// `Content-Length` gets 413 before any buffer is allocated, so a client
 /// cannot make the server allocate whatever size it names.
 const MAX_BODY_BYTES: usize = 16 << 20;
+
+/// Largest request head (request line and headers) [`HttpGateway::serve`]
+/// reads. A longer head gets 431 and the connection is closed, so a client
+/// streaming a header without a newline cannot grow the buffer unbounded.
+const MAX_HEAD_BYTES: usize = 16 << 10;
+
+/// Most connections [`HttpGateway::serve`] serves at a time, one handler
+/// thread each. A connection past the cap gets 503 with `Retry-After`.
+const MAX_CONNECTIONS: usize = 64;
+
+/// Read and write timeout on every served connection. A request stalled
+/// part-way this long gets 408; a connection idle this long between
+/// requests is closed without a reply, so idle clients cannot hold the
+/// [`MAX_CONNECTIONS`] slots for ever.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// A minimal parsed HTTP request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -216,14 +239,24 @@ pub fn parse_request(text: &str) -> Result<HttpRequest, String> {
     })
 }
 
-/// Serializes a response as HTTP/1.1 text.
+/// Serializes a response as HTTP/1.1 text that ends its connection
+/// (`Connection: close`).
 pub fn format_response(resp: &HttpResponse) -> String {
+    render(resp, true)
+}
+
+/// Serializes a response; `close` adds `Connection: close`, and without it
+/// the connection stays open for the next request.
+fn render(resp: &HttpResponse, close: bool) -> String {
     let reason = match resp.status {
         200 => "OK",
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
+        431 => "Request Header Fields Too Large",
+        500 => "Internal Server Error",
         502 => "Bad Gateway",
         503 => "Service Unavailable",
         504 => "Gateway Timeout",
@@ -233,13 +266,15 @@ pub fn format_response(resp: &HttpResponse) -> String {
         Some(secs) => format!("Retry-After: {secs}\r\n"),
         None => String::new(),
     };
+    let connection = if close { "Connection: close\r\n" } else { "" };
     format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: close\r\n\r\n{}",
+        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}\r\n{}",
         resp.status,
         reason,
         resp.content_type,
         resp.body.len(),
         retry_after,
+        connection,
         resp.body
     )
 }
@@ -348,6 +383,19 @@ impl Bulkhead {
             state.active = state.active.saturating_sub(1);
         }
         self.freed.notify_all();
+    }
+}
+
+/// A bulkhead slot held while its request runs. Dropping it frees the
+/// slot, so a handler that panics does not leak it.
+struct Slot<'a> {
+    gate: &'a Bulkhead,
+    route: &'a str,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.gate.exit(self.route);
     }
 }
 
@@ -467,9 +515,11 @@ impl HttpGateway {
         let response = if gated {
             match self.gate.enter(route) {
                 Admit::Entered => {
-                    let response = self.route(request);
-                    self.gate.exit(route);
-                    response
+                    let _slot = Slot {
+                        gate: &self.gate,
+                        route,
+                    };
+                    self.route(request)
                 }
                 Admit::Shed => self.shed_response(route),
             }
@@ -847,9 +897,18 @@ impl HttpGateway {
     }
 
     /// Binds a TCP listener and serves until `shutdown` is set, returning
-    /// the bound address immediately via the callback. Each connection is
-    /// served on the accept thread (the gateway targets test harnesses
-    /// and cross-language demos, not production load).
+    /// the bound address and the accept thread's handle at once.
+    ///
+    /// The accept thread hands each connection to a handler thread of its
+    /// own, so a slow or idle client holds only its own connection. At
+    /// most [`MAX_CONNECTIONS`] are served at a time; one past the cap is
+    /// answered 503 with `Retry-After` and closed. A handler serves
+    /// requests one after another on its persistent HTTP/1.1 connection
+    /// and closes it after a `Connection: close` or HTTP/1.0 request,
+    /// after any error response, or once the client is idle for
+    /// [`IO_TIMEOUT`]. Once `shutdown` is set the accept thread shuts
+    /// every live connection down and joins every handler before it
+    /// ends, so after the handle is joined no thread holds the gateway.
     ///
     /// # Errors
     ///
@@ -864,63 +923,199 @@ impl HttpGateway {
         listener.set_nonblocking(true)?;
         let gateway = self;
         let handle = std::thread::spawn(move || {
+            let mut live: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
             while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = serve_connection(&gateway, stream);
+                live.retain(|(_, handler)| !handler.is_finished());
+                let Ok((stream, _)) = listener.accept() else {
+                    // Short poll keeps shutdown responsive while adding
+                    // well under a millisecond to connection latency.
+                    std::thread::sleep(Duration::from_micros(200));
+                    continue;
+                };
+                let peer = match stream.try_clone() {
+                    Ok(peer) if live.len() < MAX_CONNECTIONS => peer,
+                    _ => {
+                        gateway.refuse(&stream);
+                        continue;
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        // Short poll keeps shutdown responsive while adding
-                        // well under a millisecond to connection latency.
-                        std::thread::sleep(std::time::Duration::from_micros(200));
-                    }
-                    Err(_) => break,
+                };
+                let handler = gateway.clone();
+                match std::thread::Builder::new()
+                    .name("gateway-conn".into())
+                    .spawn(move || handler.serve_connection(stream))
+                {
+                    Ok(handler) => live.push((peer, handler)),
+                    Err(_) => gateway.refuse(&peer),
                 }
+            }
+            for (peer, _) in &live {
+                let _ = peer.shutdown(Shutdown::Both);
+            }
+            for (_, handler) in live {
+                let _ = handler.join();
             }
         });
         Ok((local, handle))
     }
+
+    /// Answers a connection the gateway cannot take with 503 and closes
+    /// it. The write never blocks the accept thread.
+    fn refuse(&self, stream: &TcpStream) {
+        let response = HttpResponse::error(503, "too many connections")
+            .with_retry_after(self.gate.limits.retry_after_secs);
+        let _ = stream.set_nonblocking(true);
+        let _ = (&*stream).write_all(render(&response, true).as_bytes());
+        let _ = stream.shutdown(Shutdown::Both);
+    }
+
+    /// Serves requests on one connection until it closes; see
+    /// [`HttpGateway::serve`]. A handler that panics is answered 500 and
+    /// ends only this connection.
+    fn serve_connection(&self, stream: TcpStream) {
+        let configured = stream
+            .set_nonblocking(false)
+            .and_then(|()| stream.set_nodelay(true))
+            .and_then(|()| stream.set_read_timeout(Some(IO_TIMEOUT)))
+            .and_then(|()| stream.set_write_timeout(Some(IO_TIMEOUT)));
+        let mut reader = BufReader::new(&stream);
+        while configured.is_ok() {
+            let (response, close) = match read_request(&mut reader) {
+                Incoming::Request(request, close) => {
+                    let response = catch_unwind(AssertUnwindSafe(|| self.handle(&request)))
+                        .unwrap_or_else(|_| {
+                            HttpResponse::error(500, "the request handler panicked")
+                        });
+                    let close = close || response.status >= 400;
+                    (response, close)
+                }
+                Incoming::Reject(response) => (response, true),
+                Incoming::Gone => break,
+            };
+            if (&stream)
+                .write_all(render(&response, close).as_bytes())
+                .is_err()
+            {
+                break;
+            }
+            if close {
+                // Half-close, then read what the client already sent: closing
+                // with unread bytes would reset the connection and could
+                // discard the reply before the client reads it.
+                let _ = stream.shutdown(Shutdown::Write);
+                let _ = std::io::copy(
+                    &mut reader.by_ref().take(MAX_HEAD_BYTES as u64),
+                    &mut std::io::sink(),
+                );
+                break;
+            }
+        }
+        // The accept thread holds a clone of this socket, so dropping ours
+        // alone would not close it.
+        let _ = stream.shutdown(Shutdown::Both);
+    }
 }
 
-fn serve_connection(gateway: &HttpGateway, stream: std::net::TcpStream) -> std::io::Result<()> {
-    stream.set_nonblocking(false)?;
-    let mut reader = BufReader::new(stream.try_clone()?);
-    // Read header block.
-    let mut head = String::new();
+/// What reading one request from a connection produced.
+enum Incoming {
+    /// A parsed request, and whether the client asked to close the
+    /// connection after it.
+    Request(HttpRequest, bool),
+    /// The request cannot be served: answer this error, then close.
+    Reject(HttpResponse),
+    /// The client closed the connection or went idle between requests,
+    /// or the socket failed: close without a reply.
+    Gone,
+}
+
+/// Reads and parses one request: the head up to its blank line (at most
+/// [`MAX_HEAD_BYTES`]), then a body of `Content-Length` bytes (at most
+/// [`MAX_BODY_BYTES`]).
+fn read_request(reader: &mut impl BufRead) -> Incoming {
+    let mut head = Vec::new();
     loop {
-        let mut line = String::new();
-        if reader.read_line(&mut line)? == 0 {
-            break;
-        }
-        head.push_str(&line);
-        if line == "\r\n" || line == "\n" {
-            break;
+        let line_start = head.len();
+        let limit = (MAX_HEAD_BYTES + 1 - line_start) as u64;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut head) {
+            Ok(0) => return Incoming::Gone,
+            Ok(_) if head.len() > MAX_HEAD_BYTES => {
+                return Incoming::Reject(HttpResponse::error(
+                    431,
+                    format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit"),
+                ))
+            }
+            Ok(_) if matches!(&head[line_start..], b"\r\n" | b"\n") => break,
+            Ok(_) => {}
+            // A timeout before the first byte is an idle kept-alive
+            // connection; after it, a stalled request.
+            Err(e) if timed_out(&e) && !head.is_empty() => return request_timeout(),
+            Err(_) => return Incoming::Gone,
         }
     }
-    // Honour Content-Length for the body.
-    let content_length = head
-        .lines()
-        .find_map(|l| {
-            let (name, value) = l.split_once(':')?;
-            name.eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse::<usize>().ok())?
-        })
-        .unwrap_or(0);
-    let response = if content_length > MAX_BODY_BYTES {
-        format_response(&HttpResponse::error(
+    let head = String::from_utf8_lossy(&head).into_owned();
+    let content_length = match header_values(&head, "content-length").next() {
+        None => 0,
+        Some(value) => match value.parse::<usize>() {
+            Ok(n) => n,
+            Err(_) => {
+                return Incoming::Reject(HttpResponse::error(
+                    400,
+                    format!("invalid Content-Length: {value}"),
+                ))
+            }
+        },
+    };
+    if content_length > MAX_BODY_BYTES {
+        return Incoming::Reject(HttpResponse::error(
             413,
             format!(
                 "request body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
             ),
-        ))
-    } else {
-        let mut body = vec![0u8; content_length];
-        reader.read_exact(&mut body)?;
-        gateway.handle_text(&format!("{head}{}", String::from_utf8_lossy(&body)))
-    };
-    let mut stream = stream;
-    stream.write_all(response.as_bytes())?;
-    stream.flush()
+        ));
+    }
+    let mut body = vec![0u8; content_length];
+    match reader.read_exact(&mut body) {
+        Ok(()) => {}
+        Err(e) if timed_out(&e) => return request_timeout(),
+        Err(_) => return Incoming::Gone,
+    }
+    let close = head
+        .lines()
+        .next()
+        .is_some_and(|line| line.split_whitespace().nth(2) == Some("HTTP/1.0"))
+        || header_values(&head, "connection").any(|value| {
+            value
+                .split(',')
+                .any(|t| t.trim().eq_ignore_ascii_case("close"))
+        });
+    match parse_request(&format!("{head}{}", String::from_utf8_lossy(&body))) {
+        Ok(request) => Incoming::Request(request, close),
+        Err(e) => Incoming::Reject(HttpResponse::error(400, e)),
+    }
+}
+
+/// The 408 answer to a request that stalled part-way.
+fn request_timeout() -> Incoming {
+    Incoming::Reject(HttpResponse::error(
+        408,
+        format!("request not received within {IO_TIMEOUT:?}"),
+    ))
+}
+
+/// Whether a socket read failed because its timeout expired (`WouldBlock`
+/// on Unix, `TimedOut` on Windows).
+fn timed_out(e: &std::io::Error) -> bool {
+    matches!(
+        e.kind(),
+        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+    )
+}
+
+/// Values of the header lines named `name` (any case), trimmed.
+fn header_values<'a>(head: &'a str, name: &'a str) -> impl Iterator<Item = &'a str> {
+    head.lines().skip(1).filter_map(move |line| {
+        let (n, value) = line.split_once(':')?;
+        n.trim().eq_ignore_ascii_case(name).then(|| value.trim())
+    })
 }
 
 fn slo_status_json(status: &SloStatus) -> Json {
@@ -986,6 +1181,15 @@ mod tests {
     fn post(path: &str, body: &str) -> String {
         format!(
             "POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        )
+    }
+
+    /// As [`post`], asking the server to close the connection after the
+    /// reply, for clients that read to EOF.
+    fn post_closing(path: &str, body: &str) -> String {
+        format!(
+            "POST {path} HTTP/1.1\r\nHost: x\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
             body.len()
         )
     }
@@ -1421,7 +1625,7 @@ mod tests {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         let body = r#"{"operation": "op", "payload": {"over": "tcp"}}"#;
         stream
-            .write_all(post("/invoke/echo", body).as_bytes())
+            .write_all(post_closing("/invoke/echo", body).as_bytes())
             .unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
@@ -1450,7 +1654,7 @@ mod tests {
         let mut stream = std::net::TcpStream::connect(addr).unwrap();
         let body = r#"{"operation": "op", "payload": {"after": "413"}}"#;
         stream
-            .write_all(post("/invoke/echo", body).as_bytes())
+            .write_all(post_closing("/invoke/echo", body).as_bytes())
             .unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
@@ -1458,6 +1662,234 @@ mod tests {
         assert!(response.contains("\"after\":\"413\""));
         shutdown.store(true, Ordering::SeqCst);
         handle.join().unwrap();
+    }
+
+    /// Serves `gw` on a loopback port.
+    fn serve(gw: &Arc<HttpGateway>) -> (SocketAddr, Arc<AtomicBool>, JoinHandle<()>) {
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let (addr, handle) = gw.clone().serve("127.0.0.1:0", shutdown.clone()).unwrap();
+        (addr, shutdown, handle)
+    }
+
+    fn stop(shutdown: &AtomicBool, handle: JoinHandle<()>) {
+        shutdown.store(true, Ordering::SeqCst);
+        handle.join().unwrap();
+    }
+
+    /// Reads one response framed by its `Content-Length`, leaving the
+    /// connection open; returns the head and the body.
+    fn read_response(reader: &mut BufReader<TcpStream>) -> (String, String) {
+        let mut head = String::new();
+        loop {
+            let mut line = String::new();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "EOF in {head:?}");
+            head.push_str(&line);
+            if line == "\r\n" {
+                break;
+            }
+        }
+        let len = header_values(&head, "content-length").next().unwrap();
+        let mut body = vec![0; len.parse().unwrap()];
+        reader.read_exact(&mut body).unwrap();
+        (head, String::from_utf8(body).unwrap())
+    }
+
+    /// Sends `raw` on a new connection and reads until the server closes
+    /// it. The read gives up after `wait`, failing the test.
+    fn read_to_close(addr: SocketAddr, raw: &[u8], wait: Duration) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(wait)).unwrap();
+        stream.write_all(raw).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    /// Well inside [`IO_TIMEOUT`], so a connection that ends within it was
+    /// closed on purpose, not for being idle.
+    const PROMPT: Duration = Duration::from_millis(1000);
+
+    const SERVICES_CLOSING: &[u8] = b"GET /services HTTP/1.1\r\nConnection: close\r\n\r\n";
+
+    #[test]
+    fn one_connection_carries_several_requests() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        (&stream)
+            .write_all(b"GET /services HTTP/1.1\r\nHost: x\r\n\r\n")
+            .unwrap();
+        let (head, body) = read_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(!head.contains("Connection: close"), "{head}");
+        assert!(body.contains("echo2"), "{body}");
+        let body = r#"{"operation": "op", "payload": {"second": "request"}}"#;
+        (&stream)
+            .write_all(post("/invoke/echo", body).as_bytes())
+            .unwrap();
+        let (head, body) = read_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        assert!(body.contains("\"second\":\"request\""), "{body}");
+        stop(&shutdown, handle);
+    }
+
+    #[test]
+    fn close_requests_and_http_1_0_end_the_connection() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        for raw in [SERVICES_CLOSING, b"GET /services HTTP/1.0\r\n\r\n"] {
+            let response = read_to_close(addr, raw, PROMPT);
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+            assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+        }
+        stop(&shutdown, handle);
+    }
+
+    #[test]
+    fn error_responses_end_the_connection() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        for (raw, status) in [
+            (&b"GET /nowhere HTTP/1.1\r\n\r\n"[..], "404 Not Found"),
+            (b"NONSENSE\r\n\r\n", "400 Bad Request"),
+            (
+                b"POST /invoke/echo HTTP/1.1\r\nContent-Length: ten\r\n\r\n",
+                "400 Bad Request",
+            ),
+        ] {
+            let response = read_to_close(addr, raw, PROMPT);
+            assert!(
+                response.starts_with(&format!("HTTP/1.1 {status}")),
+                "{response}"
+            );
+            assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+        }
+        stop(&shutdown, handle);
+    }
+
+    #[test]
+    fn a_stalled_client_does_not_delay_another_connection() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        let mut stalled = TcpStream::connect(addr).unwrap();
+        stalled.write_all(b"GET /serv").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let started = std::time::Instant::now();
+        let response = read_to_close(addr, SERVICES_CLOSING, PROMPT);
+        assert!(started.elapsed() < PROMPT, "{:?}", started.elapsed());
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        drop(stalled);
+        stop(&shutdown, handle);
+    }
+
+    #[test]
+    fn shutdown_closes_idle_connections_and_releases_the_gateway() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        (&stream)
+            .write_all(b"GET /services HTTP/1.1\r\n\r\n")
+            .unwrap();
+        let (head, _) = read_response(&mut reader);
+        assert!(head.starts_with("HTTP/1.1 200 OK"), "{head}");
+        // The client keeps its connection open and idle.
+        let started = std::time::Instant::now();
+        stop(&shutdown, handle);
+        assert!(started.elapsed() < PROMPT, "{:?}", started.elapsed());
+        assert_eq!(Arc::strong_count(&gw), 1);
+        let mut rest = String::new();
+        assert_eq!(reader.read_to_string(&mut rest).unwrap(), 0, "{rest}");
+    }
+
+    #[test]
+    fn oversize_head_gets_431_and_the_server_keeps_serving() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        // One endless header line, and many short ones past the cap.
+        let mut endless = b"GET /services HTTP/1.1\r\nX-Long: ".to_vec();
+        endless.resize(MAX_HEAD_BYTES + 4096, b'a');
+        let many = format!(
+            "GET /services HTTP/1.1\r\n{}\r\n",
+            "X-Short: b\r\n".repeat(MAX_HEAD_BYTES / 8)
+        );
+        for raw in [endless.as_slice(), many.as_bytes()] {
+            let response = read_to_close(addr, raw, PROMPT);
+            assert!(
+                response.starts_with("HTTP/1.1 431 Request Header Fields Too Large"),
+                "{response}"
+            );
+            assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+        }
+        let response = read_to_close(addr, SERVICES_CLOSING, PROMPT);
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        stop(&shutdown, handle);
+    }
+
+    #[test]
+    fn stalled_requests_get_408_and_idle_connections_close_silently() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        let started = std::time::Instant::now();
+        let wait = IO_TIMEOUT + Duration::from_secs(1);
+        // A half-sent head, a half-sent body and a connection that sends
+        // nothing, all served at once.
+        let clients: Vec<_> = [
+            &b"GET /serv"[..],
+            b"POST /invoke/echo HTTP/1.1\r\nContent-Length: 64\r\n\r\n{\"pay",
+            b"",
+        ]
+        .into_iter()
+        .map(|raw| std::thread::spawn(move || read_to_close(addr, raw, wait)))
+        .collect();
+        let responses: Vec<String> = clients.into_iter().map(|c| c.join().unwrap()).collect();
+        assert!(started.elapsed() < wait, "{:?}", started.elapsed());
+        for response in &responses[..2] {
+            assert!(
+                response.starts_with("HTTP/1.1 408 Request Timeout"),
+                "{response}"
+            );
+            assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+        }
+        assert_eq!(responses[2], "");
+        stop(&shutdown, handle);
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_the_server_keeps_serving() {
+        let env = SimEnv::with_seed(83);
+        let mut gw = HttpGateway::new(Arc::new(RichSdk::new(&env)));
+        gw.set_query_handler(Box::new(|_| panic!("query handler bug")));
+        let gw = Arc::new(gw);
+        let (addr, shutdown, handle) = serve(&gw);
+        // No `Connection: close`: the error response ends the connection.
+        let response = read_to_close(addr, post("/query", "{}").as_bytes(), PROMPT);
+        assert!(
+            response.starts_with("HTTP/1.1 500 Internal Server Error"),
+            "{response}"
+        );
+        assert!(response.contains("\r\nConnection: close\r\n"), "{response}");
+        let response = read_to_close(addr, SERVICES_CLOSING, PROMPT);
+        assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        stop(&shutdown, handle);
+    }
+
+    #[test]
+    fn a_connection_past_the_cap_gets_503() {
+        let (_env, gw) = gateway();
+        let (addr, shutdown, handle) = serve(&gw);
+        let held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        let response = read_to_close(addr, b"", PROMPT);
+        assert!(
+            response.starts_with("HTTP/1.1 503 Service Unavailable"),
+            "{response}"
+        );
+        assert!(response.contains("\r\nRetry-After: 1\r\n"), "{response}");
+        drop(held);
+        stop(&shutdown, handle);
     }
 
     #[test]

@@ -25,7 +25,7 @@ fn http(addr: std::net::SocketAddr, request: &str) -> String {
 
 fn post(path: &str, body: &str) -> String {
     format!(
-        "POST {path} HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
+        "POST {path} HTTP/1.1\r\nHost: localhost\r\nConnection: close\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\r\n{body}",
         body.len()
     )
 }
@@ -50,7 +50,10 @@ fn main() {
     println!("gateway listening on http://{addr}\n");
 
     // 1. Discover services (GET /services).
-    let resp = http(addr, "GET /services HTTP/1.1\r\nHost: x\r\n\r\n");
+    let resp = http(
+        addr,
+        "GET /services HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
     println!(
         "GET /services\n  -> {}\n",
         resp.lines().last().unwrap_or("")
@@ -92,7 +95,10 @@ fn main() {
     );
 
     // 5. Monitoring over HTTP.
-    let resp = http(addr, "GET /monitor/translator HTTP/1.1\r\nHost: x\r\n\r\n");
+    let resp = http(
+        addr,
+        "GET /monitor/translator HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
     println!(
         "GET /monitor/translator\n  -> {}\n",
         resp.lines().last().unwrap_or("")
@@ -108,7 +114,10 @@ fn main() {
     // 7. Prometheus scrape: everything the calls above did — attempts,
     // cache hits/misses, pool jobs, per-route gateway counters — is
     // sitting in /metrics ready for a real scraper.
-    let resp = http(addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    let resp = http(
+        addr,
+        "GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n",
+    );
     let metrics_body = resp.split("\r\n\r\n").nth(1).unwrap_or("");
     println!("GET /metrics (scrape excerpt)");
     for line in metrics_body
