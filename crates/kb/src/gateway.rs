@@ -20,20 +20,23 @@ use crate::kb::PersonalKnowledgeBase;
 use cogsdk_core::gateway::{IngestHandler, QueryHandler};
 use cogsdk_core::ThreadPool;
 use cogsdk_json::Json;
+use cogsdk_rdf::{QueryRows, TermDict};
 use std::sync::Arc;
 
 /// Builds a [`QueryHandler`] for
 /// [`HttpGateway::set_query_handler`](cogsdk_core::HttpGateway::set_query_handler)
 /// over a shared knowledge base.
 ///
-/// Each call runs through [`PersonalKnowledgeBase::query_with_stats`], so
+/// Each call runs through [`PersonalKnowledgeBase::query_rows_on`], so
 /// the base's `sdk_query_*` metrics (plan time, result rows, join
 /// strategy counts — tenant-labeled when the base is attributed to one)
-/// are published per request. Body fields:
+/// are published per request. Rows stay term ids until the response is
+/// built, and only the returned rows are resolved. Body fields:
 ///
 /// * `sparql` (string, required) — the query text.
-/// * `explain` (bool, optional) — include the planner's `explain()`
-///   rendering as a `plan` field.
+/// * `explain` (bool, optional) — include the `explain()` rendering of
+///   the plan that ran (on the pinned epoch, if one is named) as a
+///   `plan` field.
 /// * `epoch` (integer, optional) — pin the query to a previously
 ///   reported snapshot epoch instead of the current one, so
 ///   `OFFSET`/`LIMIT` pages tile one consistent result set while ingest
@@ -54,21 +57,10 @@ pub fn gateway_query_handler(kb: Arc<PersonalKnowledgeBase>) -> QueryHandler {
             ))?,
             None => kb.query_snapshot(),
         };
-        let (rows, stats) = kb
-            .query_on(&snapshot, sparql)
+        let (rows, plan) = kb
+            .query_rows_on(&snapshot, sparql)
             .map_err(|e| format!("query failed: {e}"))?;
-        let mut rows_json = Json::Array(Vec::new());
-        for row in &rows {
-            let mut obj = Json::object();
-            // Deterministic field order: sort by variable name (HashMap
-            // iteration order would leak into the wire format otherwise).
-            let mut entries: Vec<_> = row.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            for (var, term) in entries {
-                obj.insert(var.clone(), term.to_string());
-            }
-            rows_json.push(obj);
-        }
+        let stats = plan.stats(rows.len());
         let mut stats_json = Json::object();
         stats_json.insert("rows", stats.rows);
         stats_json.insert("plan_micros", stats.plan_micros as usize);
@@ -76,18 +68,40 @@ pub fn gateway_query_handler(kb: Arc<PersonalKnowledgeBase>) -> QueryHandler {
         stats_json.insert("nested_loop_joins", stats.loop_joins);
         stats_json.insert("patterns", stats.patterns);
         let mut out = Json::object();
-        out.insert("rows", rows_json);
+        out.insert("rows", rows_json(&rows, snapshot.dict()));
         out.insert("stats", stats_json);
         out.insert("epoch", snapshot.epoch() as usize);
         if explain {
-            out.insert(
-                "plan",
-                kb.query_explain(sparql)
-                    .map_err(|e| format!("explain failed: {e}"))?,
-            );
+            // The plan that ran, on the snapshot that ran it.
+            out.insert("plan", plan.explain());
         }
         Ok(out)
     })
+}
+
+/// Serializes id rows as one JSON object per row, each bound variable
+/// mapped to its term's display form. Terms are resolved only here, for
+/// the rows the response carries. Keys come in variable-name order,
+/// fixed once per query; unbound variables are omitted.
+fn rows_json(rows: &QueryRows, dict: &TermDict) -> Json {
+    let mut cols: Vec<(usize, &String)> = rows.vars.iter().enumerate().collect();
+    cols.sort_by(|a, b| a.1.cmp(b.1));
+    Json::Array(
+        rows.rows
+            .iter()
+            .map(|row| {
+                Json::Object(
+                    cols.iter()
+                        .filter_map(|&(c, var)| {
+                            row[c].map(|id| {
+                                (var.clone(), Json::String(dict.resolve_ref(id).to_string()))
+                            })
+                        })
+                        .collect(),
+                )
+            })
+            .collect(),
+    )
 }
 
 /// Builds an [`IngestHandler`] for

@@ -9,8 +9,8 @@ use cogsdk_rdf::query::Solution;
 use cogsdk_rdf::reason::TriplePattern;
 use cogsdk_rdf::weighted::{WeightedGraph, WeightedReasoner};
 use cogsdk_rdf::{
-    DurableOptions, DurableStore, EpochSnapshot, EpochStore, GenericRuleReasoner, Overlay, Query,
-    QueryStats, RecoveryStats, Statement, Term, TermId, WalStats,
+    DurableOptions, DurableStore, EpochSnapshot, EpochStore, ExecPlan, GenericRuleReasoner,
+    Overlay, Query, QueryRows, QueryStats, RecoveryStats, Statement, Term, TermId, WalStats,
 };
 use cogsdk_sim::fs::Vfs;
 use cogsdk_store::crypto::Key;
@@ -607,8 +607,8 @@ impl PersonalKnowledgeBase {
     /// Runs a query against an explicitly pinned epoch snapshot (from
     /// [`query_snapshot`](Self::query_snapshot) or
     /// [`query_snapshot_at`](Self::query_snapshot_at)) — the stable-paging
-    /// primitive the gateway uses. Publishes the same `sdk_query_*`
-    /// metrics as [`query`](Self::query).
+    /// primitive. Publishes the same `sdk_query_*` metrics as
+    /// [`query`](Self::query).
     ///
     /// # Errors
     ///
@@ -618,10 +618,29 @@ impl PersonalKnowledgeBase {
         snapshot: &EpochSnapshot,
         sparql: &str,
     ) -> Result<(Vec<Solution>, QueryStats), KbError> {
+        let (rows, plan) = self.query_rows_on(snapshot, sparql)?;
+        Ok((rows.to_solutions(snapshot.dict()), plan.stats(rows.len())))
+    }
+
+    /// Like [`query_on`](Self::query_on), but returns the result as term
+    /// ids (resolve them through `snapshot.dict()`) together with the
+    /// plan that ran, whose [`explain`](ExecPlan::explain) text and
+    /// [`stats`](ExecPlan::stats) describe this execution. The gateway
+    /// serializes straight from these rows.
+    ///
+    /// # Errors
+    ///
+    /// Parse errors from the query engine.
+    pub fn query_rows_on(
+        &self,
+        snapshot: &EpochSnapshot,
+        sparql: &str,
+    ) -> Result<(QueryRows, ExecPlan), KbError> {
         let q = Query::parse(sparql)?;
-        let (rows, stats) = q.execute_with_stats(snapshot);
-        self.publish_query_metrics(&stats);
-        Ok((rows, stats))
+        let plan = q.plan(snapshot);
+        let rows = q.run(&plan, snapshot);
+        self.publish_query_metrics(&plan.stats(rows.len()));
+        Ok((rows, plan))
     }
 
     /// Renders the execution plan the planner chooses for `sparql` against

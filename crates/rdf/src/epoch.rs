@@ -62,11 +62,21 @@ fn from_osp((o, s, p): IdTriple) -> IdTriple {
     (s, p, o)
 }
 
-/// The sub-slice of a sorted vector falling in `lo..=hi`.
+/// The sub-slice of a sorted vector falling in `lo..=hi`: one binary
+/// search for the start, then a gallop forward for the end. Join probes
+/// ask for short ranges, so the gallop touches a few entries near the
+/// start instead of searching the whole vector a second time.
 fn range_of(sorted: &[IdTriple], lo: IdTriple, hi: IdTriple) -> &[IdTriple] {
-    let start = sorted.partition_point(|&t| t < lo);
-    let end = sorted.partition_point(|&t| t <= hi);
-    &sorted[start..end]
+    let rest = &sorted[sorted.partition_point(|&t| t < lo)..];
+    // Double the probe until it passes `hi`; the end then lies in
+    // `bound/2 ..= bound`.
+    let mut bound = 1;
+    while bound < rest.len() && rest[bound] <= hi {
+        bound *= 2;
+    }
+    let from = bound / 2;
+    let to = bound.min(rest.len());
+    &rest[..from + rest[from..to].partition_point(|&t| t <= hi)]
 }
 
 /// An immutable, fully-sorted freeze of the full view's three indexes. The
@@ -345,18 +355,20 @@ impl EpochSnapshot {
             Index::Osp => from_osp(t),
         };
 
+        let base = range_of(self.base.select(index), lo, hi);
+        // Fast path: with no runs there is nothing to merge and nothing
+        // deleted, so the base slice is the answer.
+        if self.runs.is_empty() {
+            return base.iter().map(|&t| unpermute(t)).collect();
+        }
         let mut sources: Vec<&[IdTriple]> = Vec::with_capacity(1 + self.runs.len());
-        sources.push(range_of(self.base.select(index), lo, hi));
+        sources.push(base);
         for run in &self.runs {
             sources.push(range_of(run.adds(index), lo, hi));
         }
         sources.retain(|s| !s.is_empty());
 
-        // Fast path: one source, no deletions to consult beyond `live`.
         let mut out = Vec::new();
-        if sources.is_empty() {
-            return out;
-        }
 
         let mut cursors = vec![0usize; sources.len()];
         loop {
@@ -658,6 +670,30 @@ mod tests {
             delta.record(t, added);
         }
         store.publish(&source(graph), delta, store.pin().confidence.clone());
+    }
+
+    #[test]
+    fn galloping_range_matches_two_binary_searches() {
+        use cogsdk_sim::rng::Rng;
+        let mut rng = Rng::new(0x6A11);
+        let id = |n: u64| TermId::from_raw(1 + n as u32);
+        for len in [0usize, 1, 2, 3, 7, 8, 9, 64, 200] {
+            let mut sorted: Vec<IdTriple> = (0..len)
+                .map(|_| (id(rng.below(6)), id(rng.below(4)), id(rng.below(4))))
+                .collect();
+            sorted.sort_unstable();
+            for _ in 0..50 {
+                let (a, b) = (id(rng.below(7)), id(rng.below(5)));
+                let (lo, hi) = ((a, b, TermId::MIN), (a, b, TermId::MAX));
+                let start = sorted.partition_point(|&t| t < lo);
+                let end = sorted.partition_point(|&t| t <= hi);
+                assert_eq!(range_of(&sorted, lo, hi), &sorted[start..end]);
+                let (lo, hi) = ((a, TermId::MIN, TermId::MIN), (a, TermId::MAX, TermId::MAX));
+                let start = sorted.partition_point(|&t| t < lo);
+                let end = sorted.partition_point(|&t| t <= hi);
+                assert_eq!(range_of(&sorted, lo, hi), &sorted[start..end]);
+            }
+        }
     }
 
     #[test]

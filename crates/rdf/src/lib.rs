@@ -63,7 +63,7 @@ pub use incremental::{IncrementalMaterializer, MaterializerConfig};
 pub use model::{Literal, Statement, Term};
 pub use owl::OwlLiteReasoner;
 pub use plan::{BgpQuery, ExecPlan, QueryStats};
-pub use query::{Query, Solution};
+pub use query::{Query, QueryRows, Solution};
 pub use reason::{GenericRuleReasoner, RdfsReasoner, Rule, TransitiveReasoner};
 pub use weighted::{WeightedGraph, WeightedReasoner};
 

@@ -53,7 +53,7 @@
 
 use crate::dict::{IdTriple, TermDict, TermId};
 use crate::graph::QueryView;
-use crate::query::Solution;
+use crate::query::{QueryRows, Solution};
 use crate::reason::{var_index, IdPattern, IdPatternTerm, PatternTerm, TriplePattern};
 use crate::RdfError;
 use std::collections::HashSet;
@@ -440,18 +440,64 @@ impl ExecPlan {
         self.plan_micros
     }
 
+    /// The stats record for one execution of this plan that returned
+    /// `rows` rows.
+    pub fn stats(&self, rows: usize) -> QueryStats {
+        QueryStats {
+            plan_micros: self.plan_micros,
+            rows,
+            merge_joins: self.merge_joins,
+            loop_joins: self.loop_joins,
+            patterns: self.patterns,
+        }
+    }
+
     /// Executes the plan, returning raw binding rows (indexes match
     /// [`vars`](Self::vars); `None` = unbound, ids relative to the view's
     /// dictionary). The offset/limit slice is applied; projection is not.
     pub fn rows<V: QueryView>(&self, graph: &V) -> Vec<Vec<Option<TermId>>> {
-        if self.empty {
+        let end = self.limit.map(|l| self.offset.saturating_add(l));
+        slice(self.run(graph, end), self.offset, self.limit)
+    }
+
+    /// Executes the plan and materializes terms for the projected
+    /// variables. Unbound variables (e.g. from unmatched optionals) are
+    /// simply absent from their row.
+    pub fn execute<V: QueryView>(&self, graph: &V) -> Vec<Solution> {
+        QueryRows::project(&self.vars, &self.select, self.rows(graph)).to_solutions(graph.dict())
+    }
+
+    /// Like [`execute`](Self::execute), also returning the stats record
+    /// the knowledge base publishes as `sdk_query_*` metrics.
+    pub fn execute_with_stats<V: QueryView>(&self, graph: &V) -> (Vec<Solution>, QueryStats) {
+        let out = self.execute(graph);
+        let stats = self.stats(out.len());
+        (out, stats)
+    }
+
+    /// Runs every step and returns the unsliced, unprojected rows. With
+    /// `stop_after = Some(n)` the last step stops once it has produced
+    /// `n` rows: the rows before it are still all needed (a later inner
+    /// join may drop any of them), but the last step emits in final
+    /// order, so its first `n` rows are the result's first `n`.
+    pub(crate) fn run<V: QueryView>(
+        &self,
+        graph: &V,
+        stop_after: Option<usize>,
+    ) -> Vec<Vec<Option<TermId>>> {
+        if self.empty || stop_after == Some(0) {
             return Vec::new();
         }
         let mut rows: Vec<Vec<Option<TermId>>> = vec![vec![None; self.vars.len()]];
-        for step in &self.steps {
-            match step {
+        let last = self.steps.len().saturating_sub(1);
+        for (i, step) in self.steps.iter().enumerate() {
+            let cap = match stop_after {
+                Some(n) if i == last => n,
+                _ => usize::MAX,
+            };
+            rows = match step {
                 Step::Scan { pattern } | Step::Loop { pattern } => {
-                    rows = solve_all(pattern, graph, &rows);
+                    solve_all(pattern, graph, &rows, cap)
                 }
                 Step::Merge { pattern, var, pos } => {
                     let scan = graph.match_ids(
@@ -460,7 +506,7 @@ impl ExecPlan {
                         const_slot(pattern.object),
                     );
                     rows.sort_by_key(|r| r[*var]);
-                    rows = merge_join(rows, &scan, pattern, *var, *pos);
+                    merge_join(rows, &scan, pattern, *var, *pos, cap)
                 }
                 Step::Union { arms } => {
                     let mut next = Vec::new();
@@ -468,89 +514,73 @@ impl ExecPlan {
                         for arm in arms {
                             next.extend(solve_group(arm, graph, row));
                         }
-                    }
-                    rows = next;
-                }
-                Step::Optional { group } => {
-                    if let Some(group) = group {
-                        let mut next = Vec::new();
-                        for row in &rows {
-                            let extended = solve_group(group, graph, row);
-                            if extended.is_empty() {
-                                next.push(row.clone());
-                            } else {
-                                next.extend(extended);
-                            }
+                        if next.len() >= cap {
+                            break;
                         }
-                        rows = next;
                     }
+                    next
                 }
-            }
+                Step::Optional { group: Some(group) } => {
+                    let mut next = Vec::new();
+                    for row in &rows {
+                        let extended = solve_group(group, graph, row);
+                        if extended.is_empty() {
+                            next.push(row.clone());
+                        } else {
+                            next.extend(extended);
+                        }
+                        if next.len() >= cap {
+                            break;
+                        }
+                    }
+                    next
+                }
+                Step::Optional { group: None } => rows,
+            };
             if rows.is_empty() {
                 break;
             }
         }
-        let it = rows.into_iter().skip(self.offset);
-        match self.limit {
-            Some(l) => it.take(l).collect(),
-            None => it.collect(),
+        if let Some(n) = stop_after {
+            rows.truncate(n);
         }
-    }
-
-    /// Executes the plan and materializes terms for the projected
-    /// variables. Unbound variables (e.g. from unmatched optionals) are
-    /// simply absent from their row.
-    pub fn execute<V: QueryView>(&self, graph: &V) -> Vec<Solution> {
-        self.materialize(graph, self.rows(graph))
-    }
-
-    /// Like [`execute`](Self::execute), also returning the stats record
-    /// the knowledge base publishes as `sdk_query_*` metrics.
-    pub fn execute_with_stats<V: QueryView>(&self, graph: &V) -> (Vec<Solution>, QueryStats) {
-        let out = self.execute(graph);
-        let stats = QueryStats {
-            plan_micros: self.plan_micros,
-            rows: out.len(),
-            merge_joins: self.merge_joins,
-            loop_joins: self.loop_joins,
-            patterns: self.patterns,
-        };
-        (out, stats)
-    }
-
-    fn materialize<V: QueryView>(
-        &self,
-        graph: &V,
-        rows: Vec<Vec<Option<TermId>>>,
-    ) -> Vec<Solution> {
-        let dict = graph.dict();
-        let proj: Vec<usize> = if self.select.is_empty() {
-            (0..self.vars.len()).collect()
-        } else {
-            self.select
-                .iter()
-                .filter_map(|n| self.vars.iter().position(|v| v == n))
-                .collect()
-        };
-        rows.into_iter()
-            .map(|row| {
-                proj.iter()
-                    .filter_map(|&i| row[i].map(|id| (self.vars[i].clone(), dict.resolve(id))))
-                    .collect()
-            })
-            .collect()
+        rows
     }
 }
 
-/// Pattern-at-a-time expansion of `rows` through one pattern.
+/// The `offset`/`limit` window of `rows`; an offset past the end is an
+/// empty window.
+pub(crate) fn slice<T>(mut rows: Vec<T>, offset: usize, limit: Option<usize>) -> Vec<T> {
+    let end = limit.map_or(rows.len(), |l| offset.saturating_add(l));
+    rows.truncate(end);
+    rows.drain(..offset.min(rows.len()));
+    rows
+}
+
+/// Pattern-at-a-time expansion of `rows` through one pattern: per row,
+/// probe the index with the row's bindings and extend the row with each
+/// match. Stops once `cap` rows exist.
 fn solve_all<V: QueryView>(
     pattern: &IdPattern,
     graph: &V,
     rows: &[Vec<Option<TermId>>],
+    cap: usize,
 ) -> Vec<Vec<Option<TermId>>> {
     let mut next = Vec::new();
     for row in rows {
-        next.extend(pattern.solve(graph, row).into_iter().map(|(r, _)| r));
+        let matches = graph.match_ids(
+            pattern.subject.bind(row),
+            pattern.predicate.bind(row),
+            pattern.object.bind(row),
+        );
+        for t in matches {
+            if let Some(ext) = extend_row(row, pattern, t) {
+                next.push(ext);
+                if next.len() >= cap {
+                    return next;
+                }
+            }
+        }
     }
     next
 }
@@ -563,7 +593,7 @@ fn solve_group<V: QueryView>(
 ) -> Vec<Vec<Option<TermId>>> {
     let mut sub = vec![row.to_vec()];
     for pattern in group {
-        sub = solve_all(pattern, graph, &sub);
+        sub = solve_all(pattern, graph, &sub, usize::MAX);
         if sub.is_empty() {
             break;
         }
@@ -574,13 +604,14 @@ fn solve_group<V: QueryView>(
 /// Many-to-many merge join of sorted `rows` (by `rows[i][var]`) with a
 /// sorted index `scan` (by the tuple component at `pos`). Linear in
 /// `|rows| + |scan| + |matches|`: the scan cursor never retreats past the
-/// current key block.
+/// current key block. Stops once `cap` rows exist.
 fn merge_join(
     rows: Vec<Vec<Option<TermId>>>,
     scan: &[IdTriple],
     pattern: &IdPattern,
     var: usize,
     pos: usize,
+    cap: usize,
 ) -> Vec<Vec<Option<TermId>>> {
     let key_of = |t: &IdTriple| match pos {
         0 => t.0,
@@ -599,6 +630,9 @@ fn merge_join(
         while i < scan.len() && key_of(&scan[i]) == k {
             if let Some(ext) = extend_row(&row, pattern, scan[i]) {
                 out.push(ext);
+                if out.len() >= cap {
+                    return out;
+                }
             }
             i += 1;
         }

@@ -22,15 +22,96 @@
 //! patterns are join-reordered by selectivity and executed with merge or
 //! index nested-loop joins (see [`Query::explain`] for the chosen plan).
 
+use crate::dict::{TermDict, TermId};
 use crate::graph::QueryView;
 use crate::model::{Literal, Term};
-use crate::plan::{BgpQuery, QueryStats};
+use crate::plan::{slice, BgpQuery, ExecPlan, QueryStats};
 use crate::reason::{PatternTerm, TriplePattern};
 use crate::RdfError;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// One result row: variable name → bound term.
 pub type Solution = HashMap<String, Term>;
+
+/// A query result before its terms are resolved: the projected columns
+/// and one row of term ids per result.
+///
+/// This is what the engine computes. Filters, `ORDER BY`, the
+/// offset/limit slice and projection all run on ids, so terms are only
+/// looked up for the rows a caller finally reads.
+/// [`to_solutions`](Self::to_solutions) is the one step that turns these
+/// rows into [`Solution`] maps.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QueryRows {
+    /// Column names (without `?`), each named once, in selection order;
+    /// for `SELECT *`, every variable in first-appearance order. A
+    /// selected name no pattern binds has no column.
+    pub vars: Vec<String>,
+    /// One row per result; `rows[r][c]` binds `vars[c]`, `None` =
+    /// unbound. Ids are relative to the queried view's dictionary.
+    pub rows: Vec<Vec<Option<TermId>>>,
+}
+
+impl QueryRows {
+    /// Projects plan rows (one slot per entry of `plan_vars`) onto
+    /// `select`; an empty selection keeps every column.
+    pub(crate) fn project(
+        plan_vars: &[String],
+        select: &[String],
+        rows: Vec<Vec<Option<TermId>>>,
+    ) -> QueryRows {
+        let mut cols: Vec<usize> = Vec::new();
+        if select.is_empty() {
+            cols.extend(0..plan_vars.len());
+        } else {
+            for name in select {
+                if let Some(i) = plan_vars.iter().position(|v| v == name) {
+                    if !cols.contains(&i) {
+                        cols.push(i);
+                    }
+                }
+            }
+        }
+        let vars = cols.iter().map(|&i| plan_vars[i].clone()).collect();
+        let identity =
+            cols.len() == plan_vars.len() && cols.iter().enumerate().all(|(k, &i)| k == i);
+        let rows = if identity {
+            rows
+        } else {
+            rows.into_iter()
+                .map(|row| cols.iter().map(|&i| row[i]).collect())
+                .collect()
+        };
+        QueryRows { vars, rows }
+    }
+
+    /// Number of result rows.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Whether the result has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Resolves every row into a [`Solution`] through `dict`, the
+    /// dictionary of the view the query ran on. Unbound columns are
+    /// absent from their row.
+    pub fn to_solutions(&self, dict: &TermDict) -> Vec<Solution> {
+        self.rows
+            .iter()
+            .map(|row| {
+                self.vars
+                    .iter()
+                    .zip(row)
+                    .filter_map(|(var, id)| id.map(|id| (var.clone(), dict.resolve(id))))
+                    .collect()
+            })
+            .collect()
+    }
+}
 
 /// A comparison operator in a FILTER.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,23 +138,41 @@ struct Filter {
     right: Operand,
 }
 
+/// A filter operand bound to a plan: a column (`None` when no pattern
+/// binds the variable) or a constant.
+#[derive(Clone, Copy)]
+enum Side<'q> {
+    Col(Option<usize>),
+    Const(&'q Term),
+}
+
+impl<'q> Side<'q> {
+    fn of(operand: &'q Operand, plan_vars: &[String]) -> Side<'q> {
+        match operand {
+            Operand::Var(v) => Side::Col(plan_vars.iter().position(|p| p == v)),
+            Operand::Const(t) => Side::Const(t),
+        }
+    }
+}
+
 impl Filter {
-    fn eval(&self, solution: &Solution) -> bool {
-        let resolve = |operand: &Operand| -> Option<Term> {
-            match operand {
-                Operand::Var(v) => solution.get(v).cloned(),
-                Operand::Const(t) => Some(t.clone()),
+    /// Whether the filter holds on an id row: both sides bound, then
+    /// `=`/`!=` by term equality and ordered operators numerically when
+    /// both sides are numeric, else by the display forms' string order.
+    fn holds<'a>(&self, sides: [Side<'a>; 2], row: &[Option<TermId>], dict: &'a TermDict) -> bool {
+        let term = |side: Side<'a>| -> Option<&'a Term> {
+            match side {
+                Side::Col(col) => col.and_then(|c| row[c]).map(|id| dict.resolve_ref(id)),
+                Side::Const(t) => Some(t),
             }
         };
-        let (Some(l), Some(r)) = (resolve(&self.left), resolve(&self.right)) else {
+        let (Some(l), Some(r)) = (term(sides[0]), term(sides[1])) else {
             return false;
         };
         match self.op {
             CmpOp::Eq => l == r,
             CmpOp::Ne => l != r,
             op => {
-                // Ordered comparison: numeric if both numeric, else string
-                // order over display forms.
                 let ord = match (
                     l.as_literal().and_then(Literal::as_f64),
                     r.as_literal().and_then(Literal::as_f64),
@@ -84,16 +183,10 @@ impl Filter {
                 let Some(ord) = ord else { return false };
                 matches!(
                     (op, ord),
-                    (CmpOp::Lt, std::cmp::Ordering::Less)
-                        | (
-                            CmpOp::Le,
-                            std::cmp::Ordering::Less | std::cmp::Ordering::Equal
-                        )
-                        | (CmpOp::Gt, std::cmp::Ordering::Greater)
-                        | (
-                            CmpOp::Ge,
-                            std::cmp::Ordering::Greater | std::cmp::Ordering::Equal
-                        )
+                    (CmpOp::Lt, Ordering::Less)
+                        | (CmpOp::Le, Ordering::Less | Ordering::Equal)
+                        | (CmpOp::Gt, Ordering::Greater)
+                        | (CmpOp::Ge, Ordering::Greater | Ordering::Equal)
                 )
             }
         }
@@ -260,15 +353,8 @@ impl Query {
 
     /// Executes the query against any [`QueryView`] — the live
     /// [`Graph`](crate::Graph) or a pinned
-    /// [`EpochSnapshot`](crate::EpochSnapshot).
-    ///
-    /// The pattern block compiles through the cost-based planner
-    /// ([`BgpQuery::plan`]): join order is chosen by selectivity, joins run
-    /// as merge or index nested-loop operators on id triples, and terms
-    /// are materialized only for the surviving rows. A constant the view
-    /// never interned yields zero rows for a *required* pattern, but is
-    /// local to its arm inside `OPTIONAL`/`UNION`. Filters, ordering, the
-    /// offset/limit slice and projection then apply in that order.
+    /// [`EpochSnapshot`](crate::EpochSnapshot) — and resolves the result
+    /// rows into [`Solution`]s (see [`run`](Self::run)).
     pub fn execute<V: QueryView>(&self, graph: &V) -> Vec<Solution> {
         self.execute_with_stats(graph).0
     }
@@ -276,50 +362,72 @@ impl Query {
     /// Like [`execute`](Self::execute), also returning plan/join counters
     /// for metrics ([`QueryStats::rows`] reflects the final row count).
     pub fn execute_with_stats<V: QueryView>(&self, graph: &V) -> (Vec<Solution>, QueryStats) {
-        let plan = self.to_bgp().plan(graph);
-        let (mut bindings, mut stats) = plan.execute_with_stats(graph);
-        bindings.retain(|b| self.filters.iter().all(|f| f.eval(b)));
-        if let Some(var) = &self.order_by {
-            bindings.sort_by(|a, b| match (a.get(var), b.get(var)) {
-                (Some(x), Some(y)) => x.cmp(y),
-                (Some(_), None) => std::cmp::Ordering::Less,
-                (None, Some(_)) => std::cmp::Ordering::Greater,
-                (None, None) => std::cmp::Ordering::Equal,
+        let plan = self.plan(graph);
+        let rows = self.run(&plan, graph);
+        (rows.to_solutions(graph.dict()), plan.stats(rows.len()))
+    }
+
+    /// Compiles the pattern block through the cost-based planner
+    /// ([`BgpQuery::plan`]): join order is chosen by selectivity and
+    /// joins run as merge or index nested-loop operators on id triples.
+    /// A constant the view never interned yields zero rows for a
+    /// *required* pattern, but is local to its arm inside
+    /// `OPTIONAL`/`UNION`.
+    pub fn plan<V: QueryView>(&self, graph: &V) -> ExecPlan {
+        self.to_bgp().plan(graph)
+    }
+
+    /// Runs `plan` (from [`plan`](Self::plan) on `graph` or a view
+    /// sharing its dictionary) and returns the result as id rows.
+    ///
+    /// Filters, ordering, the offset/limit slice and projection apply in
+    /// that order, all on term ids: filters and `ORDER BY` compare
+    /// borrowed terms from the dictionary, the sort is stable, and no
+    /// term is cloned. Without filters or `ORDER BY`, the plan's last
+    /// step stops once `offset + limit` rows exist.
+    pub fn run<V: QueryView>(&self, plan: &ExecPlan, graph: &V) -> QueryRows {
+        let dict = graph.dict();
+        let col = |name: &str| plan.vars().iter().position(|v| v == name);
+        let stop_after = match self.limit {
+            Some(l) if self.filters.is_empty() && self.order_by.is_none() => {
+                Some(self.offset.saturating_add(l))
+            }
+            _ => None,
+        };
+        let mut rows = plan.run(graph, stop_after);
+        if !self.filters.is_empty() {
+            let vars = plan.vars();
+            let bound: Vec<(&Filter, [Side<'_>; 2])> = self
+                .filters
+                .iter()
+                .map(|f| (f, [Side::of(&f.left, vars), Side::of(&f.right, vars)]))
+                .collect();
+            rows.retain(|row| bound.iter().all(|(f, sides)| f.holds(*sides, row, dict)));
+        }
+        // A variable no pattern binds is unbound in every row: every pair
+        // ties and the stable sort keeps the order.
+        if let Some(c) = self.order_by.as_deref().and_then(col) {
+            rows.sort_by(|a, b| match (a[c], b[c]) {
+                (Some(x), Some(y)) if x == y => Ordering::Equal,
+                (Some(x), Some(y)) => dict.resolve_ref(x).cmp(dict.resolve_ref(y)),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => Ordering::Equal,
             });
         }
-        if self.offset > 0 {
-            bindings.drain(..self.offset.min(bindings.len()));
-        }
-        if let Some(limit) = self.limit {
-            bindings.truncate(limit);
-        }
-        let bindings = if self.select.is_empty() {
-            bindings
-        } else {
-            bindings
-                .into_iter()
-                .map(|b| {
-                    self.select
-                        .iter()
-                        .filter_map(|v| b.get(v).map(|t| (v.clone(), t.clone())))
-                        .collect()
-                })
-                .collect()
-        };
-        stats.rows = bindings.len();
-        (bindings, stats)
+        let rows = slice(rows, self.offset, self.limit);
+        QueryRows::project(plan.vars(), &self.select, rows)
     }
 
     /// Renders the plan the query would run with against `graph` (see
     /// [`crate::plan::ExecPlan::explain`]).
     pub fn explain<V: QueryView>(&self, graph: &V) -> String {
-        self.to_bgp().plan(graph).explain().to_string()
+        self.plan(graph).explain().to_string()
     }
 
     /// Lowers the textual query to the planner's builder. Filters,
-    /// ordering, slice and projection stay at this layer: filters need
-    /// every variable materialized, and SPARQL applies the slice after
-    /// `ORDER BY`.
+    /// ordering, slice and projection stay at this layer ([`run`](Self::run)):
+    /// SPARQL applies the slice after filters and `ORDER BY`.
     fn to_bgp(&self) -> BgpQuery {
         let mut q = BgpQuery::new();
         for p in &self.patterns {
